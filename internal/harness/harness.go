@@ -38,8 +38,8 @@ type Options struct {
 	// identical tables.
 	NoFastForward bool
 	// TickWorkers is the per-simulation worker count for the two-phase
-	// parallel tick (0 = GOMAXPROCS, 1 = serial reference). Execution
-	// only: the golden determinism tests require identical tables for
+	// parallel tick (0 = share GOMAXPROCS among the simulations in flight,
+	// see sim.Options.TickWorkers; 1 = serial reference). Execution only: the golden determinism tests require identical tables for
 	// every value.
 	TickWorkers int
 	// TickGranule is the per-SM parking threshold for the activity-set tick

@@ -15,7 +15,11 @@ import (
 // and is resimulated. Entries also self-invalidate when any request input
 // changes, because the full Key() is part of the filename hash and is
 // verified on load.
-const cacheVersion = 1
+//
+// Version 2: the two-phase parallel tick, which replays CTA retirements
+// and commits in a fixed order, changed absolute cycle counts under memory
+// congestion. Every version-1 entry predates it and is stale.
+const cacheVersion = 2
 
 // CacheEntry is the JSON envelope of one cached simulation. It is both
 // the on-disk format and the wire form of the peer-cache protocol

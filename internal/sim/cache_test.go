@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -188,5 +189,43 @@ func TestPeerFetchHook(t *testing.T) {
 	}
 	if st := svcB2.Stats(); st.DiskHits != 1 || st.Simulated != 0 {
 		t.Errorf("migrated entry not on disk; stats = %+v", st)
+	}
+}
+
+// TestCacheVersion1EntryMisses: an entry written under cache version 1,
+// before the congestion re-baseline changed absolute cycle counts, must not
+// be served. It decodes as a miss, and a Service over that directory
+// re-simulates the request instead of returning the stale outcome.
+func TestCacheVersion1EntryMisses(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	req := tinyRequest("vadd", sim.Baseline())
+	key := req.Key()
+	want, err := sim.NewService(sim.Options{}).Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := want
+	stale.Result.Cycles++ // what a pre-re-baseline simulator might have stored
+	data, err := json.Marshal(sim.CacheEntry{Version: 1, Key: key, Outcome: stale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sim.DecodeCacheEntry(data, key); ok {
+		t.Fatal("version-1 entry decoded as a hit")
+	}
+	if err := os.WriteFile(filepath.Join(dir, sim.CacheAddr(key)+".json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := sim.NewService(sim.Options{CacheDir: dir})
+	got, err := svc.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.DiskHits != 0 || st.Simulated != 1 {
+		t.Errorf("stats over a version-1 entry = %+v, want 1 simulation and no disk hit", st)
+	}
+	if got.Result.Cycles != want.Result.Cycles {
+		t.Errorf("served %d cycles, want the re-simulated %d", got.Result.Cycles, want.Result.Cycles)
 	}
 }

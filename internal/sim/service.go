@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpusched/internal/gpu"
@@ -17,8 +18,14 @@ type Options struct {
 	// Workers bounds concurrent simulations (0 = NumCPU).
 	Workers int
 	// TickWorkers is the per-simulation worker count for the GPU's
-	// two-phase parallel tick (gpu.Config.Workers): 0 derives it from
-	// GOMAXPROCS, 1 forces the serial reference path. It is an execution
+	// two-phase parallel tick (gpu.Config.Workers). 0 shares GOMAXPROCS
+	// among the simulations in flight: each one gets
+	// max(1, GOMAXPROCS / n), where n is the number of simulations on the
+	// cache-miss path (running or waiting for a slot) when it gets its
+	// slot, capped at Workers. So a lone simulation gets the whole pool
+	// and a saturated Service runs every simulation serially instead of
+	// oversubscribing the CPUs. A value > 0 is used as is; 1 forces the
+	// serial reference path. It is an execution
 	// knob only — results are byte-identical for every value — so it is
 	// deliberately NOT part of Request.Key: cached outcomes stay valid
 	// across worker-count changes.
@@ -100,6 +107,11 @@ type Service struct {
 	opt   Options
 	sem   chan struct{}
 	cache *diskCache
+
+	// missPath counts simulations on the cache-miss path, from just before
+	// the wait for a sem slot until simulate returns. It is the demand the
+	// default tick worker count is shared by (see tickWorkers).
+	missPath atomic.Int32
 
 	mu sync.Mutex
 	//gpulint:guardedby mu
@@ -226,10 +238,22 @@ func (s *Service) RunAll(ctx context.Context, reqs []Request) error {
 	return errors.Join(errs...)
 }
 
-// TickWorkers returns the effective per-simulation worker count the
-// Service runs with (the configured knob, GOMAXPROCS-resolved; individual
-// simulations may clamp further to their SM count).
+// TickWorkers returns the per-simulation worker count a lone simulation
+// runs with (the configured knob, GOMAXPROCS-resolved). With the knob at 0
+// it is a cap: concurrent simulations share it (see Options.TickWorkers),
+// and each simulation may clamp further to its SM count.
 func (s *Service) TickWorkers() int { return gpu.ResolveWorkers(s.opt.TickWorkers) }
+
+// tickWorkers sizes one simulation's tick worker pool. A configured count
+// > 0 is used as is. Otherwise procs CPUs are shared among demand
+// simulations, demand capped at slots (no more can run at once); the result
+// is never below 1.
+func tickWorkers(configured, demand, slots, procs int) int {
+	if configured > 0 {
+		return configured
+	}
+	return max(1, procs/max(1, min(demand, slots)))
+}
 
 // Stats returns a snapshot of the request counters.
 func (s *Service) Stats() Stats {
@@ -272,18 +296,21 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 	}
 
 	// Bound concurrent simulations; give up the wait on cancellation.
+	s.missPath.Add(1)
+	defer s.missPath.Add(-1)
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
 	case <-ctx.Done():
 		return Outcome{}, ctx.Err()
 	}
+	demand := int(s.missPath.Load())
 
 	d := req.Sched.NewDispatcher()
 	cfg := req.config()
 	// Execution-only knob: applied after the key-covered config is built,
 	// so it can never leak into cache identity.
-	cfg.Workers = s.opt.TickWorkers
+	cfg.Workers = tickWorkers(s.opt.TickWorkers, demand, cap(s.sem), runtime.GOMAXPROCS(0))
 	cfg.Granule = s.opt.TickGranule
 	cfg.MemShards = s.opt.MemShards
 	cfg.BatchWindow = s.opt.BatchWindow

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -502,5 +503,80 @@ func TestRequestJSONPreemptiveConvenience(t *testing.T) {
 	}
 	if err := dec.Validate(); err == nil {
 		t.Error("decreasing arrivals passed Validate")
+	}
+}
+
+// TestSharedTickWorkersDeterministic: with TickWorkers at 0 the Service
+// sizes each simulation's tick pool from how many are in flight, so one
+// sweep submitted from several goroutines at once runs its simulations at
+// a mix of worker counts. Every outcome must still be byte-equal to the
+// serial reference (TickWorkers 1).
+func TestSharedTickWorkersDeterministic(t *testing.T) {
+	// Two procs make the shared counts span 2 and 1 whatever the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var reqs []sim.Request
+	for _, w := range []string{"vadd", "histo", "spmv"} {
+		for _, sched := range []sim.SchedSpec{sim.Baseline(), sim.LCS()} {
+			reqs = append(reqs, tinyRequest(w, sched))
+		}
+	}
+	ctx := context.Background()
+	encode := func(out sim.Outcome) string {
+		data, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	serial := sim.NewService(sim.Options{TickWorkers: 1})
+	want := make([]string, len(reqs))
+	for i, req := range reqs {
+		out, err := serial.Run(ctx, req)
+		if err != nil {
+			t.Fatalf("serial %s: %v", req.Key(), err)
+		}
+		want[i] = encode(out)
+	}
+
+	shared := sim.NewService(sim.Options{Workers: 4})
+	const clients = 3
+	got := make([][]string, clients)
+	errs := make([][]error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		got[c] = make([]string, len(reqs))
+		errs[c] = make([]error, len(reqs))
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// Each client walks the sweep from its own offset, so the
+			// number in flight changes as keys start and finish.
+			for j := range reqs {
+				i := (j + c*len(reqs)/clients) % len(reqs)
+				out, err := shared.Run(ctx, reqs[i])
+				if err != nil {
+					errs[c][i] = err
+					continue
+				}
+				data, err := json.Marshal(out)
+				got[c][i], errs[c][i] = string(data), err
+			}
+		}(c)
+	}
+	wg.Wait()
+	for c := range got {
+		for i, req := range reqs {
+			if errs[c][i] != nil {
+				t.Fatalf("client %d %s: %v", c, req.Key(), errs[c][i])
+			}
+			if got[c][i] != want[i] {
+				t.Errorf("client %d %s: shared-pool outcome differs from serial\n got %s\nwant %s",
+					c, req.Key(), got[c][i], want[i])
+			}
+		}
+	}
+	if st := shared.Stats(); st.Simulated != len(reqs) {
+		t.Errorf("Simulated = %d, want %d (one per key)", st.Simulated, len(reqs))
 	}
 }
