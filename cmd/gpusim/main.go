@@ -29,9 +29,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warpStr  = fs.String("warp", "gto", "warp scheduler: lrr | gto | baws")
 		sizeStr  = fs.String("size", "small", "problem size: tiny | small | full")
 		cores    = fs.Int("cores", 15, "SM count")
-		workers  = fs.Int("workers", 0, "OS threads ticking the SMs each cycle (0 = GOMAXPROCS, 1 = serial; never changes results)")
-		shards   = fs.Int("mem-shards", 0, "memory partition shards ticked in parallel per cycle (0 = derive from -workers, 1 = serial; never changes results)")
-		window   = fs.Uint64("batch-window", 0, "max cycles batched through one barrier when every SM provably sleeps (0 = built-in default, 1 = off; never changes results)")
+		workers  = fs.Int("workers", 0, "OS threads ticking the SMs and memory partitions each cycle (0 = GOMAXPROCS, 1 = serial; never changes results)")
 		list     = fs.Bool("list", false, "list workloads and exit")
 		traceOut = fs.String("trace", "", "write a per-epoch timeline CSV to this file")
 		epoch    = fs.Uint64("epoch", 1024, "trace sampling period in cycles")
@@ -62,11 +60,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	if *cores < 1 {
+		fmt.Fprintf(stderr, "-cores must be >= 1 (got %d)\n", *cores)
+		return 2
+	}
 	cfg := gpusched.DefaultConfig()
 	cfg.Cores = *cores
 	cfg.Workers = *workers
-	cfg.MemShards = *shards
-	cfg.BatchWindow = *window
 	cfg.WarpPolicy, err = gpusched.ParseWarpPolicy(*warpStr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)

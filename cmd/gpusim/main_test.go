@@ -58,6 +58,8 @@ func TestRunBadFlags(t *testing.T) {
 		{"-sched", "nope"},
 		{"-warp", "nope"},
 		{"-size", "nope"},
+		{"-cores", "-4"},
+		{"-cores", "0"},
 	}
 	for _, args := range cases {
 		var out, errb strings.Builder

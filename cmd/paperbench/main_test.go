@@ -73,7 +73,7 @@ func TestRunOneExperimentWritesCSV(t *testing.T) {
 // be forced here, so use a bad experiment list instead) — covered above —
 // and verifies a failing simulation propagates as exit code 1 with a
 // summary. The cheapest way to make an experiment fail deterministically is
-// an out-of-range cores override: gpu.New rejects NumCores > 255.
+// an out-of-range cores override: Request.Validate rejects cores > 255.
 func TestRunSurfacesExperimentErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds simulations")

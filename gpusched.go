@@ -123,19 +123,6 @@ type Config struct {
 	// an execution knob only: results are byte-identical for every worker
 	// count, so it never needs to appear in result caches or comparisons.
 	Workers int
-	// Granule is the activity-set parking threshold in cycles: an SM leaves
-	// the per-cycle tick only when it can prove at least this many quiet
-	// cycles ahead (0 = the built-in default). Execution knob only, like
-	// Workers: results are byte-identical for every granule.
-	Granule uint64
-	// MemShards is how many shards the memory system's partitions tick in
-	// (0 = derive from Workers, 1 = the serial memory tick). Execution knob
-	// only, like Workers: results are byte-identical for every shard count.
-	MemShards int
-	// BatchWindow caps the quiet-window cycle batch in cycles (0 = the
-	// built-in default, 1 = batching off). Execution knob only, like
-	// Workers: results are byte-identical for every window.
-	BatchWindow uint64
 
 	// Advanced knobs. Nil fields keep Fermi-class defaults.
 	SM  *SMConfig
@@ -178,9 +165,6 @@ func (c Config) build() gpu.Config {
 		g.MaxCycles = c.MaxCycles
 	}
 	g.Workers = c.Workers
-	g.Granule = c.Granule
-	g.MemShards = c.MemShards
-	g.BatchWindow = c.BatchWindow
 	return g
 }
 

@@ -33,39 +33,13 @@ type Config struct {
 	// way — the flag exists so tests can prove exactly that, and so
 	// suspected fast-forward bugs can be bisected against the reference.
 	DisableFastForward bool
-	// Workers is how many OS threads tick the SMs each cycle (phase A of
-	// the two-phase tick). 0 derives the count from GOMAXPROCS; 1 is the
-	// serial reference path. The count is execution-only: results are
-	// byte-identical for every value (the golden determinism tests diff
-	// worker counts against each other), so it never enters a cache key.
+	// Workers is how many OS threads tick the SMs (phase A of the two-phase
+	// tick) and the memory partitions (phase A2) each cycle. 0 derives the
+	// count from GOMAXPROCS; 1 is the serial reference path. The count is
+	// execution-only: results are byte-identical for every value (the
+	// golden determinism tests diff worker counts against each other), so
+	// it never enters a cache key.
 	Workers int
-	// Granule is the minimum provably-quiet window, in cycles, an SM must
-	// have ahead of it before its shard parks it in the activity set's wake
-	// heap (0 means DefaultGranule). A parked SM is skipped without being
-	// visited until its wake cycle; the skipped cycles' ActiveCycles and
-	// stall counters are replayed in one FastForward when it next runs.
-	// Like Workers it is execution-only: parking is semantically inert, so
-	// results are byte-identical for every granule (the golden determinism
-	// tests sweep it) and it never enters a cache key.
-	Granule uint64
-	// MemShards is how many contiguous partition ranges the memory system's
-	// phase-A2 tick is split into (mem.System.SetShards). 0 derives it from
-	// the worker count (clamped to the partition count); 1 is the serial
-	// reference path; values beyond the partition count leave the extra
-	// shards empty. Execution-only: the staged merge makes results
-	// byte-identical for every value (the golden determinism tests sweep
-	// it), so it never enters a cache key.
-	MemShards int
-	// BatchWindow caps the quiet-window cycle batch, in cycles: when no SM
-	// can run or receive a response for the next k cycles, the loop runs k
-	// memory-system ticks inside one barrier crossing instead of k. The
-	// effective window is additionally bounded by the crossbar latency (a
-	// response delivered inside the window cannot become poppable before the
-	// window ends, so no SM interaction is ever skipped). 0 means
-	// DefaultBatchWindow; 1 disables batching. Execution-only: results are
-	// byte-identical for every value (the golden determinism tests sweep it),
-	// so it never enters a cache key.
-	BatchWindow uint64
 }
 
 // ResolveWorkers maps a Config.Workers value to the machine-derived worker
@@ -92,67 +66,20 @@ func (c *Config) resolveWorkers() int {
 	return w
 }
 
+// MaxCores is the largest SM count New accepts: the memory system's
+// response routing carries the core index in 8 bits.
+const MaxCores = 255
+
 // DefaultMaxCycles is the runaway-simulation cap applied when
 // Config.MaxCycles is zero — the single definition every layer shares.
 const DefaultMaxCycles uint64 = 20_000_000
 
-// DefaultGranule is the parking threshold applied when Config.Granule is
-// zero: an SM leaves the activity set only when it can prove at least this
-// many quiet cycles ahead. Small enough that short stalls still park, large
-// enough that an SM bouncing on 1–2 cycle hazards stays on the active list
-// instead of churning the wake heap.
-const DefaultGranule uint64 = 4
-
-// resolveGranule maps Config.Granule to the effective parking threshold.
-func (c *Config) resolveGranule() uint64 {
-	if c.Granule == 0 {
-		return DefaultGranule
-	}
-	return c.Granule
-}
-
-// DefaultBatchWindow is the quiet-window batch cap applied when
-// Config.BatchWindow is zero. It only bounds the merge buffers: the
-// effective window is almost always the crossbar latency (the SM↔memsys
-// interaction bound), which is far below it.
-const DefaultBatchWindow uint64 = 64
-
-// resolveBatchWindow maps Config.BatchWindow to the effective batch cap:
-// the configured (or default) cap, never more than the crossbar latency —
-// a response delivered at cycle c becomes poppable at c+XbarLatency, so a
-// window bounded by the latency provably contains no SM-visible event.
-func (c *Config) resolveBatchWindow() uint64 {
-	w := c.BatchWindow
-	if w == 0 {
-		w = DefaultBatchWindow
-	}
-	lat := c.Mem.XbarLatency
-	if lat < 1 {
-		lat = 1
-	}
-	if w > lat {
-		w = lat
-	}
-	return w
-}
-
-// resolveMemShards maps Config.MemShards to the effective phase-A2 shard
-// count: derived from the worker count (never more than one shard per
-// partition) when unset, the configured value otherwise — mem.System
-// tolerates counts beyond the partition count by leaving shards empty.
-func (c *Config) resolveMemShards(workers int) int {
-	n := c.MemShards
-	if n <= 0 {
-		n = workers
-		if n > c.Mem.Partitions {
-			n = c.Mem.Partitions
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// minParkCycles is the parking threshold: an SM leaves the activity set only
+// when it can prove at least this many quiet cycles ahead. Small enough that
+// short stalls still park, large enough that an SM bouncing on 1–2 cycle
+// hazards stays on the active list instead of churning the wake heap.
+// Parking is semantically inert, so the value only moves wall time.
+const minParkCycles = 4
 
 // DefaultConfig returns the Fermi-class (GTX480 ballpark) GPU used by the
 // paper-reproduction experiments: 15 SMs, 2 schedulers each, 6 memory
@@ -262,11 +189,6 @@ type GPU struct {
 	// phase A has run, a sleeping core provably accounts for the current
 	// cycle too, and cannot tick again before the next one.
 	postTick bool
-	// winFrom/winTo are the current batched quiet window's bounds, written
-	// serially before the window's phase-A2 pool release so the reusable
-	// shard closure (no per-window allocation) can read them — the same
-	// ordering contract g.now relies on.
-	winFrom, winTo uint64
 }
 
 // New builds a GPU running specs (in launch order) under dispatcher d.
@@ -278,7 +200,7 @@ func New(cfg Config, d core.Dispatcher, specs ...*kernel.Spec) (*GPU, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("gpu: no kernels")
 	}
-	if cfg.NumCores > 255 {
+	if cfg.NumCores > MaxCores {
 		return nil, fmt.Errorf("gpu: NumCores %d exceeds response-routing width", cfg.NumCores)
 	}
 	g := &GPU{cfg: cfg, dispatcher: d}
@@ -578,16 +500,18 @@ const minParallelParts = 4
 // determinism tests diff worker counts byte-for-byte).
 //
 // Which SMs have ready work is tracked by an activity set (parexec): after
-// ticking, an SM that issued nothing and can prove at least Granule quiet
-// cycles ahead parks in its shard's wake heap and is skipped — not visited
-// at all — until its wake cycle arrives or an external event (CTA placement,
-// drain request, memory response) lowers its bound through wakeCore. The
+// ticking, an SM that issued nothing and can prove at least minParkCycles
+// quiet cycles ahead parks in its shard's wake heap and is skipped — not
+// visited at all — until its wake cycle arrives or an external event (CTA
+// placement, drain request, memory response) lowers its bound through
+// wakeCore. The
 // skipped cycles' ActiveCycles and stall counters accrue lazily: each SM
 // carries a synced-through watermark and replays the gap in one FastForward
 // the next time it runs (or when a serial-phase reader forces syncAllTo).
 // Parking is semantically inert — the park/wake decisions are pure per-SM
-// functions — so results are byte-identical for every granule; the golden
-// determinism tests sweep granules and worker counts against each other.
+// functions — so results are byte-identical whether or not an SM parks; the
+// golden determinism tests diff worker counts and the reference loop
+// against each other.
 //
 // The loop runs cycle-by-cycle while anything happens. After a cycle in
 // which no CTA was placed or retired and no instruction issued, it asks
@@ -610,10 +534,9 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		ff = nil
 	}
 	// Parking rides on the same proof machinery as fast-forward: without a
-	// FastForwarder the quiet-window replay has no dispatcher bound, so the
+	// FastForwarder the parked-window replay has no dispatcher bound, so the
 	// reference configuration keeps every SM in the active set permanently.
 	sleepOK := ff != nil
-	granule := g.cfg.resolveGranule()
 	workers := g.cfg.resolveWorkers()
 	as := parexec.NewActivitySet(len(g.cores), workers)
 	g.activity = as
@@ -635,14 +558,14 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			return 0 // issued or probe-throttled: stay active
 		}
 		// The SM stalled this cycle; ask whether the stall provably extends
-		// a full granule. Its own bound covers pipeline and L1/LDST state;
-		// the response pipe bound covers replies already in flight toward it
-		// (later deliveries wake it through the response hook).
+		// at least minParkCycles. Its own bound covers pipeline and L1/LDST
+		// state; the response pipe bound covers replies already in flight
+		// toward it (later deliveries wake it through the response hook).
 		wake := c.NextEvent(now + 1)
 		if rv := g.memsys.ResponseNextReady(i); rv < wake {
 			wake = rv
 		}
-		if wake >= now+1+granule {
+		if wake >= now+1+minParkCycles {
 			g.probeAt[i], g.probeBO[i] = 0, 0
 			return wake
 		}
@@ -658,21 +581,15 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 		pool = parexec.New(workers)
 		defer pool.Close()
 	}
-	memShards := g.cfg.resolveMemShards(workers)
+	// One memory shard per worker, never more than one per partition, so
+	// pool shard w ticks at most memory shard w — a pure function of
+	// (w, workers, partitions); the partition→worker mapping never depends
+	// on scheduling.
+	memShards := min(workers, g.cfg.Mem.Partitions)
 	g.memsys.SetShards(memShards)
-	batchCap := g.cfg.resolveBatchWindow()
-	// memShardFn runs phase A2 on a pool worker: pool shard w ticks memory
-	// shards w, w+workers, ... — a pure function of (w, workers, memShards),
-	// so the partition→worker mapping never depends on scheduling.
 	memShardFn := func(shard int) {
-		for ms := shard; ms < memShards; ms += workers {
-			g.memsys.TickShard(ms, g.now)
-		}
-	}
-	// memWindowFn is memShardFn for a batched quiet window [winFrom, winTo).
-	memWindowFn := func(shard int) {
-		for ms := shard; ms < memShards; ms += workers {
-			g.memsys.TickShardWindow(ms, g.winFrom, g.winTo)
+		if shard < memShards {
+			g.memsys.TickShard(shard, g.now)
 		}
 	}
 	done := ctx.Done()
@@ -703,35 +620,6 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			g.syncAllTo(g.now)
 		}
 		g.dispatcher.Tick(g)
-		if sleepOK && batchCap > 1 && as.Runnable(g.now) == 0 &&
-			g.memsys.NextEvent(g.now) <= g.now && g.memsys.StagedEmpty() {
-			// Quiet window: every SM is parked past this cycle, nothing is
-			// staged, and the memory system has work — phase A and the
-			// commits are provably no-ops for every cycle before the window
-			// end, so run the whole window's memory ticks inside one barrier
-			// crossing and merge once.
-			if end := g.batchWindowEnd(ff, done != nil, maxCycles, batchCap); end > g.now+1 {
-				g.winFrom, g.winTo = g.now, end
-				if pool != nil && g.memsys.LiveParts() >= minParallelParts {
-					pool.Run(memWindowFn)
-				} else {
-					for ms := 0; ms < memShards; ms++ {
-						g.memsys.TickShardWindow(ms, g.winFrom, g.winTo)
-					}
-				}
-				// Merge with the clock parked on the window's last cycle and
-				// postTick set, so the response hooks' wake/sync semantics
-				// are exactly what per-cycle execution would have produced:
-				// every core provably slept through the window, so wakeCore
-				// settles it to the window end and wakes it no earlier.
-				g.now = end - 1
-				g.postTick = true
-				g.memsys.TickMerge(g.now)
-				g.now = end
-				g.postTick = false
-				continue
-			}
-		}
 		if pool != nil && as.Runnable(g.now) >= parallelMinRunnable {
 			pool.Run(tickShard)
 		} else {
@@ -757,7 +645,7 @@ func (g *GPU) RunContext(ctx context.Context) (Result, error) {
 			// fold serially. Identical statements to the serial path in an
 			// identical per-partition order, so results cannot differ.
 			pool.Run(memShardFn)
-			g.memsys.TickMerge(g.now)
+			g.memsys.TickMerge()
 		} else {
 			g.memsys.Tick(g.now)
 		}
@@ -882,52 +770,6 @@ func (g *GPU) fastForward(ff core.FastForwarder, clampCtx bool, maxCycles uint64
 	})
 	g.now = horizon
 	return horizon - from
-}
-
-// batchWindowEnd bounds a quiet window starting at g.now: the largest end
-// such that every cycle in [g.now, end) provably needs only a memory-system
-// tick. The caller has established that no SM is runnable at g.now and that
-// this cycle's dispatcher tick already ran; the clamps guarantee the rest:
-//
-//   - cap (≤ crossbar latency): a response delivered at cycle c inside the
-//     window becomes poppable at c+XbarLatency ≥ end, and its wake hook
-//     lands ≥ end, so no SM needs to tick before the window ends;
-//   - NextDispatchEvent(g.now+1): the dispatcher provably does nothing at
-//     the skipped cycles (the same contract fastForward uses);
-//   - the next kernel arrival, the activity set's earliest wake, MaxCycles,
-//     and the epoch/context boundaries, all of which must execute at the
-//     top of the loop.
-//
-// Any end ≤ g.now+1 means "no window": a one-cycle batch is the normal path.
-func (g *GPU) batchWindowEnd(ff core.FastForwarder, clampCtx bool, maxCycles, cap uint64) uint64 {
-	from := g.now
-	end := from + cap
-	if nd := ff.NextDispatchEvent(from + 1); nd < end {
-		end = nd
-	}
-	if g.arrived < len(g.kernels) {
-		if a := g.kernels[g.arrived].Spec.Arrival; a < end {
-			end = a
-		}
-	}
-	if hv := g.activity.Horizon(); hv < end {
-		end = hv
-	}
-	if end > maxCycles {
-		end = maxCycles
-	}
-	if end <= from+1 {
-		return from
-	}
-	// Boundary cycles run hooks/polls at the top of the loop; from itself
-	// already ran them, so only (from, end) must stay boundary-free.
-	if g.epochFn != nil {
-		end = clampToBoundary(end, from+1, g.epochEvery)
-	}
-	if clampCtx {
-		end = clampToBoundary(end, from+1, ctxCheckInterval)
-	}
-	return end
 }
 
 // clampToBoundary caps horizon so that no multiple of every lies in

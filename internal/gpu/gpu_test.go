@@ -296,136 +296,61 @@ func TestTimeoutReported(t *testing.T) {
 
 // TestWorkerCountInvariance is the package-level statement of the parallel
 // tick's contract: the committed Result is a pure function of the request,
-// whatever Config.Workers and Config.Granule say (the harness golden tests
-// restate this over every experiment and full Result rendering). Worker
-// counts above GOMAXPROCS are included deliberately — oversubscription
-// changes the interleaving as violently as extra cores do — and each count
-// is crossed with a different parking granule so shard boundaries and
-// park/wake cycles shift together.
+// whatever Config.Workers says (the harness golden tests restate this over
+// every experiment and full Result rendering). The worker count sets both
+// the phase-A SM shards and the phase-A2 memory shards, so each count here
+// cuts the cores and the partitions differently. Counts above GOMAXPROCS are
+// included deliberately — oversubscription changes the interleaving as
+// violently as extra cores do. DynCTA is included because its epoch
+// adjustment reads per-core stall counters, so a missing sleeper sync would
+// diverge here before anywhere else.
 func TestWorkerCountInvariance(t *testing.T) {
 	for _, name := range []string{"stencil", "spmv"} {
 		w, _ := workloads.ByName(name)
 		for _, d := range []func() core.Dispatcher{
 			func() core.Dispatcher { return core.NewRoundRobin() },
 			func() core.Dispatcher { return core.NewLCS() },
+			func() core.Dispatcher { return core.NewDynCTA() },
 		} {
 			cfg := testConfig()
 			cfg.Workers = 1
 			base := mustRun(t, cfg, d(), w.Build(workloads.ScaleTest))
 			sched := d().Name()
-			for _, wc := range []struct {
-				workers int
-				granule uint64
-			}{{2, 1}, {3, 4}, {7, 16}} {
+			for _, workers := range []int{2, 3, 7} {
 				cfg := testConfig()
-				cfg.Workers = wc.workers
-				cfg.Granule = wc.granule
+				cfg.Workers = workers
 				r := mustRun(t, cfg, d(), w.Build(workloads.ScaleTest))
 				if !reflect.DeepEqual(r, base) {
-					t.Errorf("%s/%s: Workers=%d Granule=%d diverged from Workers=1:\n%+v\nvs\n%+v",
-						name, sched, wc.workers, wc.granule, r, base)
+					t.Errorf("%s/%s: Workers=%d diverged from Workers=1:\n%+v\nvs\n%+v",
+						name, sched, workers, r, base)
 				}
 			}
 		}
 	}
 }
 
-// TestGranuleInvariance isolates the granule axis: with workers fixed, every
-// parking threshold — including one far beyond any real stall — must commit
-// the same Result as the serial default. DynCTA is used deliberately: its
-// epoch adjustment reads per-core stall counters, so a missing sleeper sync
-// would diverge here before anywhere else.
-func TestGranuleInvariance(t *testing.T) {
-	w, _ := workloads.ByName("spmv")
-	cfg := testConfig()
-	cfg.Workers = 1
-	base := mustRun(t, cfg, core.NewDynCTA(), w.Build(workloads.ScaleTest))
-	for _, granule := range []uint64{1, 16, 4096} {
-		cfg := testConfig()
-		cfg.Workers = 2
-		cfg.Granule = granule
-		r := mustRun(t, cfg, core.NewDynCTA(), w.Build(workloads.ScaleTest))
-		if !reflect.DeepEqual(r, base) {
-			t.Errorf("Granule=%d diverged from serial default:\n%+v\nvs\n%+v", granule, r, base)
-		}
-	}
-}
-
-// TestMemShardInvariance is the package-level statement of the phase-A2
-// contract: the committed Result is a pure function of the request, whatever
-// Config.MemShards and Config.BatchWindow say. The sweep crosses shard
-// counts (including more shards than partitions, which leaves the trailing
-// shards empty) with batch windows (1 = batching off, 0 = the default) and
-// worker counts, against a serial-memory unbatched baseline. Stencil is used
-// deliberately: it is the memory-bound workload whose serial memory tick
-// motivated the shard split, so partition-order bugs diverge here first.
-func TestMemShardInvariance(t *testing.T) {
-	w, _ := workloads.ByName("stencil")
-	cfg := testConfig()
-	cfg.Workers = 1
-	cfg.MemShards = 1
-	cfg.BatchWindow = 1
-	base := mustRun(t, cfg, core.NewLCS(), w.Build(workloads.ScaleTest))
-	for _, c := range []struct {
-		workers, shards int
-		window          uint64
-	}{
-		{1, 2, 1},  // sharded staging under the serial loop, no batching
-		{2, 6, 0},  // one shard per partition, default window
-		{3, 9, 2},  // more shards than partitions: trailing shards are empty
-		{7, 0, 64}, // derived shard count, window beyond the crossbar clamp
-		{2, 1, 0},  // serial memory tick inside a parallel pool, batching on
-	} {
-		cfg := testConfig()
-		cfg.Workers = c.workers
-		cfg.MemShards = c.shards
-		cfg.BatchWindow = c.window
-		r := mustRun(t, cfg, core.NewLCS(), w.Build(workloads.ScaleTest))
-		if !reflect.DeepEqual(r, base) {
-			t.Errorf("Workers=%d MemShards=%d BatchWindow=%d diverged from serial unbatched baseline:\n%+v\nvs\n%+v",
-				c.workers, c.shards, c.window, r, base)
-		}
-	}
-}
-
-// TestMemShardInvarianceNoFastForward pins the shard axis on the reference
-// loop. Quiet-window batching needs the fast-forward machinery's sleep
-// proofs, so it is structurally off here — what remains under test is the
-// per-cycle ingress/egress staging and the shard merge, which must be inert
-// however the partitions are cut.
-func TestMemShardInvarianceNoFastForward(t *testing.T) {
-	w, _ := workloads.ByName("stencil")
-	cfg := testConfig()
-	cfg.Workers = 1
-	cfg.MemShards = 1
-	cfg.DisableFastForward = true
-	base := mustRun(t, cfg, core.NewRoundRobin(), w.Build(workloads.ScaleTest))
-	for _, shards := range []int{2, 6, 9} {
-		cfg := testConfig()
-		cfg.Workers = 4
-		cfg.MemShards = shards
-		cfg.DisableFastForward = true
-		if r := mustRun(t, cfg, core.NewRoundRobin(), w.Build(workloads.ScaleTest)); !reflect.DeepEqual(r, base) {
-			t.Errorf("MemShards=%d (no FF) diverged from serial baseline:\n%+v\nvs\n%+v", shards, r, base)
-		}
-	}
-}
-
 // TestWorkerCountInvarianceNoFastForward pins the same contract on the
-// reference loop, so a fast-forward interaction cannot mask a phase-A
-// ordering bug (or vice versa). Granule plumbing must be inert here: without
-// a fast-forward proof chain no SM is ever parked.
+// reference loop, so a fast-forward interaction cannot mask a phase-A or
+// phase-A2 ordering bug (or vice versa). Without a fast-forward proof chain
+// no SM is ever parked, so what remains under test is the per-cycle SM
+// shard split and the memory system's ingress/egress staging and shard
+// merge, which must be inert however the cores and partitions are cut.
 func TestWorkerCountInvarianceNoFastForward(t *testing.T) {
 	w, _ := workloads.ByName("stencil")
-	cfg := testConfig()
-	cfg.Workers = 1
-	cfg.DisableFastForward = true
-	base := mustRun(t, cfg, core.NewBCS(), w.Build(workloads.ScaleTest))
-	for _, granule := range []uint64{0, 16} {
-		cfg.Workers = 4
-		cfg.Granule = granule
-		if r := mustRun(t, cfg, core.NewBCS(), w.Build(workloads.ScaleTest)); !reflect.DeepEqual(r, base) {
-			t.Errorf("Workers=4 Granule=%d (no FF) diverged from Workers=1:\n%+v\nvs\n%+v", granule, r, base)
+	for _, d := range []func() core.Dispatcher{
+		func() core.Dispatcher { return core.NewBCS() },
+		func() core.Dispatcher { return core.NewRoundRobin() },
+	} {
+		cfg := testConfig()
+		cfg.Workers = 1
+		cfg.DisableFastForward = true
+		base := mustRun(t, cfg, d(), w.Build(workloads.ScaleTest))
+		for _, workers := range []int{2, 3, 4} {
+			cfg.Workers = workers
+			if r := mustRun(t, cfg, d(), w.Build(workloads.ScaleTest)); !reflect.DeepEqual(r, base) {
+				t.Errorf("%s: Workers=%d (no FF) diverged from Workers=1:\n%+v\nvs\n%+v",
+					d().Name(), workers, r, base)
+			}
 		}
 	}
 }

@@ -39,22 +39,10 @@ type Options struct {
 	NoFastForward bool
 	// TickWorkers is the per-simulation worker count for the two-phase
 	// parallel tick (0 = share GOMAXPROCS among the simulations in flight,
-	// see sim.Options.TickWorkers; 1 = serial reference). Execution only: the golden determinism tests require identical tables for
-	// every value.
+	// see sim.Options.TickWorkers; 1 = serial reference). Execution only:
+	// the golden determinism tests require identical tables for every
+	// value.
 	TickWorkers int
-	// TickGranule is the per-SM parking threshold for the activity-set tick
-	// (0 = gpu.DefaultGranule). Execution only, like TickWorkers: the golden
-	// determinism tests sweep granules and require identical tables.
-	TickGranule uint64
-	// MemShards is the memory system's phase-A2 shard count (0 = derived
-	// from TickWorkers, 1 = serial memory tick). Execution only, like
-	// TickWorkers: the golden determinism tests sweep shard counts and
-	// require identical tables.
-	MemShards int
-	// BatchWindow caps the quiet-window cycle batch (0 = the default, 1 =
-	// batching off). Execution only, like TickWorkers: the golden
-	// determinism tests sweep windows and require identical tables.
-	BatchWindow uint64
 }
 
 // Table is one rendered experiment.
@@ -137,9 +125,6 @@ func New(opt Options) *Harness {
 			Progress:    opt.Progress,
 			CacheDir:    opt.CacheDir,
 			TickWorkers: opt.TickWorkers,
-			TickGranule: opt.TickGranule,
-			MemShards:   opt.MemShards,
-			BatchWindow: opt.BatchWindow,
 		}),
 	}
 }

@@ -43,8 +43,8 @@ import "gpusched/internal/stats"
 // per-partition staging cells serially in partition-index order — the
 // staging semantics are THE semantics at every shard count, so results are
 // byte-identical across shard counts by construction (the golden
-// determinism tests sweep them). Tick is the serial wrapper: every shard in
-// index order, then the merge.
+// determinism tests diff worker counts, which set the shard count). Tick is
+// the serial wrapper: every shard in index order, then the merge.
 //
 // Tick order within a cycle is therefore fixed and deterministic: each
 // partition commits its cores' staged requests in core-index order
@@ -91,8 +91,8 @@ type System struct {
 	// xbarCap mirrors the request pipes' capacity clamp (see newPipe).
 	xbarCap int
 	// shards is how many TickShard ranges the partitions are split into
-	// (SetShards; 1 until told otherwise). Execution-only: results are
-	// byte-identical for every value.
+	// (SetShards; 1 until told otherwise, never more than the partition
+	// count). Execution-only: results are byte-identical for every value.
 	shards int
 	// inflight counts requests anywhere in the hierarchy: +1 where a staged
 	// request commits and on write-back spawn, -1 where a request leaves (a
@@ -107,8 +107,7 @@ type System struct {
 	// uses it to lower a parked core's wake bound — a response headed for a
 	// sleeping SM must wake it no later than the cycle it can be popped. The
 	// events are staged in the delivering partition's cell and fired by
-	// TickMerge in (ready, partition) order — serial phase B, never from a
-	// worker.
+	// TickMerge in partition order — serial phase B, never from a worker.
 	onResponse func(core int, ready uint64)
 }
 
@@ -150,9 +149,8 @@ type partCell struct {
 	// merge, folded into System.respCount.
 	respDelta int
 	// hooks stages the response-delivery events for onResponse, in delivery
-	// order (nondecreasing ready). hookPos is the merge's read cursor.
-	hooks   []respHook
-	hookPos int
+	// order.
+	hooks []respHook
 	// deliver is the partition's egress: push into the (partition, core)
 	// lane and stage the wake event. Built once at NewSystem.
 	deliver func(core int, resp Response) bool
@@ -253,19 +251,12 @@ func (p *port) Send(req Request, now uint64) {
 // onResponse field). Must be set before the first Tick.
 func (s *System) SetResponseHook(fn func(core int, ready uint64)) { s.onResponse = fn }
 
-// SetShards splits the partitions into n contiguous TickShard ranges
-// (clamped to at least 1; values beyond the partition count leave the extra
-// shards empty, which is legal and covered by the determinism sweeps).
-// Execution-only — results are byte-identical for every value.
+// SetShards splits the partitions into n contiguous TickShard ranges,
+// clamped to [1, partition count] so no shard is empty. Execution-only —
+// results are byte-identical for every value.
 func (s *System) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.shards = n
+	s.shards = max(1, min(n, len(s.partitions)))
 }
-
-// Shards returns the configured TickShard range count.
-func (s *System) Shards() int { return s.shards }
 
 // partRange returns shard's contiguous partition range [lo, hi) — the same
 // split rule parexec uses for cores, so the mapping is a pure function of
@@ -334,7 +325,7 @@ func (s *System) Tick(now uint64) {
 	for sh := 0; sh < s.shards; sh++ {
 		s.TickShard(sh, now)
 	}
-	s.TickMerge(now)
+	s.TickMerge()
 }
 
 // TickShard advances shard's partitions one cycle: each partition commits
@@ -350,25 +341,7 @@ func (s *System) Tick(now uint64) {
 func (s *System) TickShard(shard int, now uint64) {
 	lo, hi := s.partRange(shard)
 	for i := lo; i < hi; i++ {
-		s.tickPartition(i, now, true)
-	}
-}
-
-// TickShardWindow runs shard's partitions for every cycle in [from, to) in
-// one call — the quiet-window batch path. The caller must guarantee no core
-// ticks (and so nothing is staged or popped) inside the window; ingress is
-// therefore only scanned at the first cycle, and a window of one cycle is
-// exactly TickShard. Same concurrency contract as TickShard.
-//
-//gpulint:hotpath
-//gpulint:phasea
-func (s *System) TickShardWindow(shard int, from, to uint64) {
-	lo, hi := s.partRange(shard)
-	for cy := from; cy < to; cy++ {
-		ingress := cy == from
-		for i := lo; i < hi; i++ {
-			s.tickPartition(i, cy, ingress)
-		}
+		s.tickPartition(i, now)
 	}
 }
 
@@ -383,40 +356,37 @@ func (s *System) TickShardWindow(shard int, from, to uint64) {
 // no partition reads another partition's pipe.
 //
 //gpulint:staged writes only partition i's pipes, staging cell, and the cores' partition-i buckets
-func (s *System) tickPartition(i int, now uint64, ingress bool) {
+func (s *System) tickPartition(i int, now uint64) {
 	cell := &s.parts[i]
-	if ingress {
-		q := s.toPart[i]
-		n := 0
-		for c := range s.slots {
-			if s.slots[c].stagedTotal == 0 {
-				continue
-			}
-			b := s.slots[c].staged[i]
-			if len(b) == 0 {
-				continue
-			}
-			for j := range b {
-				q.forcePush(now, b[j])
-			}
-			n += len(b)
-			s.slots[c].staged[i] = b[:0]
+	q := s.toPart[i]
+	n := 0
+	for c := range s.slots {
+		if s.slots[c].stagedTotal == 0 {
+			continue
 		}
-		cell.delta += n
+		b := s.slots[c].staged[i]
+		if len(b) == 0 {
+			continue
+		}
+		for j := range b {
+			q.forcePush(now, b[j])
+		}
+		n += len(b)
+		s.slots[c].staged[i] = b[:0]
 	}
+	cell.delta += n
 	cell.now = now
 	s.partitions[i].Tick(now, s.toPart[i], cell.deliver)
 }
 
 // TickMerge folds the cycle's per-partition staging cells serially, in
 // partition-index order: in-flight deltas, then the staged response-hook
-// events in (ready, partition) order — the order a per-cycle serial tick
-// would have fired them — then the cores' pop counts, and finally the
-// admission snapshot. It must run after every shard of the cycle (or
-// window) and before any serial-phase consumer reads the system.
+// events, then the cores' pop counts, and finally the admission snapshot.
+// It must run after every shard of the cycle and before any serial-phase
+// consumer reads the system.
 //
 //gpulint:phaseb folds every partition's staging cell and every core's slot; racing phase A would tear them
-func (s *System) TickMerge(now uint64) {
+func (s *System) TickMerge() {
 	for i := range s.parts {
 		s.inflight += s.parts[i].delta
 		s.parts[i].delta = 0
@@ -441,54 +411,23 @@ func (s *System) TickMerge(now uint64) {
 	for i, q := range s.toPart {
 		s.snapLen[i] = q.Len()
 	}
-	_ = now
 }
 
 // fireHooks replays the staged response-delivery events through onResponse
-// in (ready, partition index) order — a P-way merge over the per-partition
-// buffers, each already nondecreasing in ready because a partition delivers
-// in cycle order. Within one cycle every ready is equal and the merge
-// degenerates to partition order, exactly the serial tick's firing order.
+// in partition-index order and, within a partition, delivery order — the
+// serial tick's firing order. Every event of one cycle has the same ready
+// cycle, so no merge by ready is needed.
 func (s *System) fireHooks() {
 	if s.onResponse == nil {
 		return
 	}
-	for {
-		best := -1
-		var bestReady uint64
-		for i := range s.parts {
-			cell := &s.parts[i]
-			if cell.hookPos >= len(cell.hooks) {
-				continue
-			}
-			if r := cell.hooks[cell.hookPos].ready; best < 0 || r < bestReady {
-				best, bestReady = i, r
-			}
-		}
-		if best < 0 {
-			break
-		}
-		cell := &s.parts[best]
-		h := cell.hooks[cell.hookPos]
-		cell.hookPos++
-		s.onResponse(h.core, h.ready)
-	}
 	for i := range s.parts {
-		s.parts[i].hooks = s.parts[i].hooks[:0]
-		s.parts[i].hookPos = 0
-	}
-}
-
-// StagedEmpty reports whether no core has a staged, uncommitted request —
-// a precondition the GPU checks before entering a batched quiet window
-// (serial phases only).
-func (s *System) StagedEmpty() bool {
-	for c := range s.slots {
-		if s.slots[c].stagedTotal > 0 {
-			return false
+		cell := &s.parts[i]
+		for _, h := range cell.hooks {
+			s.onResponse(h.core, h.ready)
 		}
+		cell.hooks = cell.hooks[:0]
 	}
-	return true
 }
 
 // LiveParts counts partitions with any buffered or in-flight work — the

@@ -243,8 +243,10 @@ func TestErrorShapes(t *testing.T) {
 		{http.MethodGet, "/v1/jobs/job-999", "", http.StatusNotFound, "not_found"},
 		{http.MethodDelete, "/v1/jobs/job-999", "", http.StatusNotFound, "not_found"},
 		{http.MethodGet, "/v1/jobs/job-999/events", "", http.StatusNotFound, "not_found"},
-		// An impossible machine is a simulation failure, not a validation one.
-		{http.MethodPost, "/v1/simulate", `{"workloads":["vadd"],"scale":"tiny","cores":100000}`, http.StatusInternalServerError, "simulation"},
+		// A machine gpu.New cannot build is rejected before it simulates.
+		{http.MethodPost, "/v1/simulate", `{"workloads":["vadd"],"scale":"tiny","cores":100000}`, http.StatusBadRequest, "validation"},
+		// A valid request whose run fails (here: a hopeless cycle bound).
+		{http.MethodPost, "/v1/simulate", `{"workloads":["spmv"],"scale":"tiny","cores":4,"max_cycles":100}`, http.StatusInternalServerError, "simulation"},
 	}
 	for _, c := range cases {
 		code, data, _ := doJSON(t, c.method, ts.URL+c.path, c.body)

@@ -85,11 +85,19 @@ func (r Request) Key() string {
 	return key
 }
 
-// Validate checks the request names known workloads and launches at least
-// one kernel.
+// Validate checks the request names known workloads, launches at least
+// one kernel, and describes a machine gpu.New can build. Negative overrides
+// are rejected rather than read as the default: they would simulate the
+// default machine under a key of their own.
 func (r Request) Validate() error {
 	if len(r.Workloads) == 0 {
 		return fmt.Errorf("sim: request launches no workloads")
+	}
+	if r.Cores < 0 || r.Cores > gpu.MaxCores {
+		return fmt.Errorf("sim: request cores must be in [0, %d] (got %d)", gpu.MaxCores, r.Cores)
+	}
+	if r.L1Bytes < 0 {
+		return fmt.Errorf("sim: request l1_bytes must be >= 0 (got %d)", r.L1Bytes)
 	}
 	for _, n := range r.Workloads {
 		if _, ok := workloads.ByName(n); !ok {

@@ -25,25 +25,10 @@ type Options struct {
 	// slot, capped at Workers. So a lone simulation gets the whole pool
 	// and a saturated Service runs every simulation serially instead of
 	// oversubscribing the CPUs. A value > 0 is used as is; 1 forces the
-	// serial reference path. It is an execution
-	// knob only — results are byte-identical for every value — so it is
-	// deliberately NOT part of Request.Key: cached outcomes stay valid
-	// across worker-count changes.
+	// serial reference path. It is an execution knob only — results are
+	// byte-identical for every value — so it is deliberately NOT part of
+	// Request.Key: cached outcomes stay valid across worker-count changes.
 	TickWorkers int
-	// TickGranule is the per-SM parking threshold for the activity-set tick
-	// (gpu.Config.Granule): 0 derives it from gpu.DefaultGranule. Like
-	// TickWorkers it is an execution knob only — results are byte-identical
-	// for every value — so it is deliberately NOT part of Request.Key.
-	TickGranule uint64
-	// MemShards is the memory system's phase-A2 shard count
-	// (gpu.Config.MemShards): 0 derives it from the tick workers, 1 forces
-	// the serial memory tick. Execution-only, like TickWorkers — never part
-	// of Request.Key.
-	MemShards int
-	// BatchWindow caps the quiet-window cycle batch (gpu.Config.BatchWindow):
-	// 0 derives gpu.DefaultBatchWindow, 1 disables batching. Execution-only,
-	// like TickWorkers — never part of Request.Key.
-	BatchWindow uint64
 	// CacheDir, when non-empty, enables the on-disk result cache
 	// (conventionally results/.simcache).
 	CacheDir string
@@ -311,9 +296,6 @@ func (s *Service) simulate(ctx context.Context, req Request, key string) (Outcom
 	// Execution-only knob: applied after the key-covered config is built,
 	// so it can never leak into cache identity.
 	cfg.Workers = tickWorkers(s.opt.TickWorkers, demand, cap(s.sem), runtime.GOMAXPROCS(0))
-	cfg.Granule = s.opt.TickGranule
-	cfg.MemShards = s.opt.MemShards
-	cfg.BatchWindow = s.opt.BatchWindow
 	g, err := gpu.New(cfg, d, specs...)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("sim: %s: %w", key, err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gpusched/internal/gpu"
 	"gpusched/internal/sim"
 	"gpusched/internal/sm"
 	"gpusched/internal/workloads"
@@ -218,11 +219,15 @@ func TestRunErrors(t *testing.T) {
 	if _, err := svc.Run(ctx, sim.Request{Sched: sim.Baseline()}); err == nil {
 		t.Error("empty request did not error")
 	}
-	// A kernel that cannot fit the machine is a build error, not a panic.
-	bad := tinyRequest("vadd", sim.Baseline())
-	bad.Cores = 1000
-	if _, err := svc.Run(ctx, bad); err == nil {
-		t.Error("oversized core count did not error")
+	// A machine gpu.New cannot build is an error, not a panic, and a
+	// negative override is an error, not the default machine under a key
+	// of its own.
+	for _, m := range []struct{ cores, l1 int }{{gpu.MaxCores + 1, 0}, {-4, 0}, {4, -1}} {
+		bad := tinyRequest("vadd", sim.Baseline())
+		bad.Cores, bad.L1Bytes = m.cores, m.l1
+		if _, err := svc.Run(ctx, bad); err == nil {
+			t.Errorf("cores=%d l1_bytes=%d did not error", m.cores, m.l1)
+		}
 	}
 	// A hopeless cycle bound surfaces as a timeout error.
 	slow := tinyRequest("spmv", sim.Baseline())
